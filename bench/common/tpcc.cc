@@ -495,9 +495,10 @@ Status Tpcc::NewOrder(Rng& rng, uint16_t w, uint64_t* queries) {
     (*queries)++;
     Status item_status = txn->Get(item_, ItemKey(i_id), &buf);
     if (item_status.IsNotFound()) {
-      // Spec 2.4.2.3: unused item number -> user-initiated rollback.
+      // Spec 2.4.2.3: unused item number -> user-initiated rollback. It
+      // completes the transaction but commits nothing.
       txn->Abort();
-      return Status::OK();
+      return UserRollback();
     }
     SKEENA_RETURN_NOT_OK(item_status);
     ItemRow ir{};
@@ -826,17 +827,36 @@ Status Tpcc::CheckConsistency() {
       KeyBuilder prefix;
       prefix.AppendU16(w).AppendU8(d);
       uint32_t max_o = 0;
+      uint64_t ol_cnt_sum = 0;
+      bool rows_ok = true;
       SKEENA_RETURN_NOT_OK(
           txn->Scan(orders_, prefix.Build(), 0,
-                    [&](const Key& key, const std::string&) {
+                    [&](const Key& key, const std::string& value) {
                       if (!KeyHasPrefix(key, prefix.Build(), 3)) return false;
                       uint32_t o = 0;
                       for (int b = 3; b < 7; ++b) o = (o << 8) | key[b];
                       max_o = std::max(max_o, o);
+                      OrderRow orow{};
+                      rows_ok = rows_ok && DecodeRow(value, &orow);
+                      ol_cnt_sum += orow.ol_cnt;
                       return true;
                     }));
       if (max_o + 1 != dr.next_o_id) {
         return Status::Corruption("D_NEXT_O_ID mismatch");
+      }
+      // Consistency 4 (spec 3.3.2.4): the district's O_OL_CNT sum equals
+      // its ORDER-LINE row count.
+      uint64_t order_lines = 0;
+      SKEENA_RETURN_NOT_OK(
+          txn->Scan(order_line_, prefix.Build(), 0,
+                    [&](const Key& key, const std::string&) {
+                      if (!KeyHasPrefix(key, prefix.Build(), 3)) return false;
+                      order_lines++;
+                      return true;
+                    }));
+      if (!rows_ok) return Status::Corruption("malformed ORDER row");
+      if (ol_cnt_sum != order_lines) {
+        return Status::Corruption("sum(O_OL_CNT) != ORDER-LINE rows");
       }
     }
     // Consistency 1 (spec 3.3.2.1): both sides advance by the same Payment

@@ -71,9 +71,9 @@ class Tpcc {
 
   uint16_t HomeWarehouse(int thread_id, Rng& rng) const;
 
-  /// TPC-C consistency conditions (subset): W_YTD == sum of D_YTD;
-  /// D_NEXT_O_ID - 1 == max(O_ID) == max(NO_O_ID); order-line counts match
-  /// O_OL_CNT. Used by the integration tests.
+  /// TPC-C consistency conditions (subset): W_YTD == sum of D_YTD (1);
+  /// D_NEXT_O_ID - 1 == max(O_ID) (3); per district, sum of O_OL_CNT ==
+  /// ORDER-LINE row count (4). Used by the integration tests.
   Status CheckConsistency();
 
  private:

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "bench/common/bench_json.h"
@@ -12,12 +13,23 @@
 
 namespace skeena::bench {
 
+namespace {
+constexpr std::string_view kUserRollback = "user rollback";
+}  // namespace
+
+Status UserRollback() { return Status::Aborted(std::string(kUserRollback)); }
+
+bool IsUserRollback(const Status& s) {
+  return s.IsAborted() && s.message() == kUserRollback;
+}
+
 RunResult RunWorkload(int threads, uint64_t duration_ms, const TxnFn& fn) {
   struct ThreadStats {
     uint64_t commits = 0;
     uint64_t queries = 0;
     uint64_t engine_aborts = 0;
     uint64_t skeena_aborts = 0;
+    uint64_t rollbacks = 0;
     Histogram latency;
   };
   std::vector<ThreadStats> stats(threads);
@@ -37,7 +49,9 @@ RunResult RunWorkload(int threads, uint64_t duration_ms, const TxnFn& fn) {
         Status st = fn(t, rng, &queries);
         auto end = std::chrono::steady_clock::now();
         s.queries += queries;
-        if (st.ok()) {
+        if (IsUserRollback(st)) {
+          s.rollbacks++;
+        } else if (st.ok()) {
           s.commits++;
           s.latency.Record(static_cast<uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(end -
@@ -68,6 +82,7 @@ RunResult RunWorkload(int threads, uint64_t duration_ms, const TxnFn& fn) {
     result.queries += s.queries;
     result.engine_aborts += s.engine_aborts;
     result.skeena_aborts += s.skeena_aborts;
+    result.rollbacks += s.rollbacks;
     result.latency.Merge(s.latency);
   }
   return result;

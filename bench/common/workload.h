@@ -12,14 +12,22 @@
 
 namespace skeena::bench {
 
+/// A transaction that ran to its end and rolled itself back because its
+/// workload says so (TPC-C New-Order's 1% unused item, clause 2.4.2.3):
+/// neither a commit nor an abort, and not worth retrying.
+Status UserRollback();
+bool IsUserRollback(const Status& s);
+
 /// Outcome of one timed run: committed transactions, queries, abort
 /// attribution (engine vs Skeena — Section 6.9) and the latency histogram.
+/// User rollbacks count apart: not in commits, latency or the abort rates.
 struct RunResult {
   double seconds = 0;
   uint64_t commits = 0;
   uint64_t queries = 0;
   uint64_t engine_aborts = 0;
   uint64_t skeena_aborts = 0;
+  uint64_t rollbacks = 0;
   Histogram latency;
 
   double Tps() const { return seconds == 0 ? 0 : commits / seconds; }

@@ -38,15 +38,62 @@ void StoreMax(std::atomic<uint64_t>& target, uint64_t v) {
 }  // namespace
 
 uint32_t LogFrameCheck(std::span<const uint8_t> payload) {
-  // FNV-1a over the payload, seeded with a mix of the length so a frame
-  // whose payload is a prefix of another's cannot share its check.
-  uint32_t h =
-      2166136261u ^ (static_cast<uint32_t>(payload.size()) * 2654435761u);
-  for (uint8_t b : payload) {
-    h ^= b;
-    h *= 16777619u;
+  // Eight bytes per step. For a fixed input word each step is a bijection
+  // of the 64-bit state (xor, odd multiply, xorshift), so two payloads of
+  // one length that differ anywhere reach different states; the xorshift
+  // carries high-bit differences back down where the next multiply spreads
+  // them. The tail word is zero-padded, and the length seeds the state, so
+  // a payload and the same bytes plus trailing zeros still differ.
+  constexpr uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  const uint8_t* p = payload.data();
+  size_t n = payload.size();
+  uint64_t h = 0x6a09e667f3bcc909ull ^ (static_cast<uint64_t>(n) * kMul);
+  auto step = [&h](uint64_t word) {
+    h = (h ^ word) * kMul;
+    h ^= h >> 32;
+  };
+  for (; n >= sizeof(uint64_t); n -= sizeof(uint64_t), p += sizeof(uint64_t)) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    step(word);
   }
-  return h;
+  if (n > 0) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, n);
+    step(word);
+  }
+  // Final avalanche so the last word's high bits reach the kept low half.
+  h ^= h >> 29;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 32;
+  return static_cast<uint32_t>(h);
+}
+
+LogFrameBuffer& LogFrameBuffer::Scratch() {
+  // Kept across batches up to the default ring size: enough for any
+  // ordinary commit, while one huge transaction does not pin its batch's
+  // memory to the thread for good.
+  constexpr size_t kRetainBytes = 1 << 20;
+  thread_local LogFrameBuffer scratch;
+  if (scratch.capacity_ > kRetainBytes) {
+    scratch.data_.reset();
+    scratch.capacity_ = 0;
+  }
+  scratch.Clear();
+  return scratch;
+}
+
+uint8_t* LogFrameBuffer::Grow(size_t n) {
+  if (size_ + n > capacity_) {
+    const size_t cap = std::max<size_t>({capacity_ * 2, size_ + n, 4096});
+    auto bigger = std::make_unique_for_overwrite<uint8_t[]>(cap);
+    if (size_ > 0) std::memcpy(bigger.get(), data_.get(), size_);
+    data_ = std::move(bigger);
+    capacity_ = cap;
+  }
+  uint8_t* out = data_.get() + size_;
+  size_ += n;
+  return out;
 }
 
 LogManager::LogManager(std::unique_ptr<StorageDevice> device)
@@ -60,7 +107,9 @@ LogManager::LogManager(std::unique_ptr<StorageDevice> device, Options options)
       std::clamp<uint64_t>(options_.block_bytes, kMinBlock, capacity_ / 2));
   n_blocks_ = capacity_ / block_bytes_;
   max_append_ = capacity_ - block_bytes_;
-  ring_ = std::make_unique<uint8_t[]>(capacity_);
+  // Uninitialised: the flusher reads ring bytes only after an appender
+  // copied them in and released their block.
+  ring_ = std::make_unique_for_overwrite<uint8_t[]>(capacity_);
   released_ = std::make_unique<BlockCount[]>(n_blocks_);
   window_us_.store(options_.flush_interval_us, std::memory_order_relaxed);
 
@@ -134,8 +183,40 @@ void LogManager::WaitForRingSpace(Lsn end) {
 
 Lsn LogManager::Append(std::span<const uint8_t> record) {
   assert(!record.empty() && "empty log records are not appendable");
-  const uint64_t total = kLogFrameHeaderSize + record.size();
-  assert(total <= max_append_ && "record exceeds the reservation ring");
+  // Its own per-thread buffer, not Scratch(): a caller may be holding
+  // Scratch() across this call. A record fits the ring, which bounds it.
+  thread_local LogFrameBuffer frame;
+  frame.Clear();
+  frame.Add(record.size(), [&](uint8_t* dst) {
+    std::memcpy(dst, record.data(), record.size());
+  });
+  return Publish(frame.frames());
+}
+
+Lsn LogManager::AppendFrames(std::span<const uint8_t> frames) {
+  assert(!frames.empty() && "empty frame runs are not appendable");
+  // A run past one reservation is cut at the last frame boundary that
+  // fits; the common commit batch skips this walk entirely.
+  while (frames.size() > max_append_) {
+    size_t cut = 0;
+    while (true) {
+      uint32_t len;
+      std::memcpy(&len, frames.data() + cut, sizeof(len));
+      const size_t next = cut + kLogFrameHeaderSize + len;
+      if (next > max_append_) break;
+      cut = next;
+    }
+    assert(cut > 0 && "a single frame exceeds the reservation ring");
+    Publish(frames.first(cut));
+    frames = frames.subspan(cut);
+  }
+  return Publish(frames);
+}
+
+Lsn LogManager::Publish(std::span<const uint8_t> frames) {
+  const uint64_t total = frames.size();
+  assert(total > 0 && total <= max_append_ &&
+         "a reservation must fit in the ring minus one block");
 
   // 1. Claim [start, end) with a single fetch_add — the only cross-thread
   //    ordering point on the fast path.
@@ -146,16 +227,10 @@ Lsn LogManager::Append(std::span<const uint8_t> record) {
     WaitForRingSpace(end);
   }
 
-  // 2. Copy the frame into the claimed ring bytes.
-  uint8_t header[kLogFrameHeaderSize];
-  const uint32_t len = static_cast<uint32_t>(record.size());
-  const uint32_t check = LogFrameCheck(record);
-  std::memcpy(header, &len, sizeof(len));
-  std::memcpy(header + sizeof(len), &check, sizeof(check));
-  CopyIntoRing(start, header, kLogFrameHeaderSize);
-  CopyIntoRing(start + kLogFrameHeaderSize, record.data(), record.size());
+  // 2. Copy the frames into the claimed ring bytes.
+  CopyIntoRing(start, frames.data(), total);
 
-  // 3. Publish: bump the release count of every block the frame touches.
+  // 3. Publish: bump the release count of every block the claim touches.
   //    The release order pairs with the flusher's acquire read and carries
   //    the copied bytes with it.
   Lsn pos = start;

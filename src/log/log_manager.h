@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
@@ -26,10 +27,52 @@ namespace skeena {
 /// end-of-log sentinel, a bad check is a torn frame.
 inline constexpr size_t kLogFrameHeaderSize = 2 * sizeof(uint32_t);
 
-/// Per-frame payload check (FNV-1a seeded with the length). Not a
-/// cryptographic digest: it only has to make a torn/stale tail byte pattern
-/// vanishingly unlikely to parse as a valid frame.
+/// Per-frame payload check: a multiply/xorshift mix over 8-byte words,
+/// seeded with the length. Not a cryptographic digest: it only has to make
+/// a torn/stale tail byte pattern vanishingly unlikely to parse as a valid
+/// frame, at well under a cycle per byte on the commit path.
 uint32_t LogFrameCheck(std::span<const uint8_t> payload);
+
+/// Whole log frames built in place, ready for `LogManager::AppendFrames`.
+/// Each frame's payload is written straight into the buffer, so a commit
+/// batch costs no per-record allocation and no second copy before the ring.
+class LogFrameBuffer {
+ public:
+  LogFrameBuffer() = default;
+  LogFrameBuffer(const LogFrameBuffer&) = delete;
+  LogFrameBuffer& operator=(const LogFrameBuffer&) = delete;
+
+  /// This thread's scratch buffer, emptied. It serves one batch at a time:
+  /// the next Scratch() call on the thread empties it again. Capacity is
+  /// kept across calls up to a bound, so steady-state commits allocate
+  /// nothing.
+  static LogFrameBuffer& Scratch();
+
+  /// Appends a frame with a `len`-byte payload: `fill(uint8_t* dst)` must
+  /// write all `len` bytes, after which the header is stamped.
+  template <typename Fill>
+  void Add(size_t len, Fill&& fill) {
+    uint8_t* frame = Grow(kLogFrameHeaderSize + len);
+    uint8_t* payload = frame + kLogFrameHeaderSize;
+    fill(payload);
+    const uint32_t len32 = static_cast<uint32_t>(len);
+    const uint32_t check = LogFrameCheck(std::span<const uint8_t>(payload, len));
+    std::memcpy(frame, &len32, sizeof(len32));
+    std::memcpy(frame + sizeof(len32), &check, sizeof(check));
+  }
+
+  std::span<const uint8_t> frames() const { return {data_.get(), size_}; }
+  bool empty() const { return size_ == 0; }
+  void Clear() { size_ = 0; }
+
+ private:
+  /// Extends the buffer by `n` uninitialised bytes; returns the first.
+  uint8_t* Grow(size_t n);
+
+  std::unique_ptr<uint8_t[]> data_;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
 
 /// Append-only write-ahead log with group commit.
 ///
@@ -41,9 +84,10 @@ uint32_t LogFrameCheck(std::span<const uint8_t> payload);
 /// parks on to decide when a cross-engine transaction's results may be
 /// released to the client.
 ///
-/// Append fast path (no mutex, no shared writes beyond three atomics):
+/// Append fast path (no mutex, no shared writes beyond three atomics), run
+/// once per reservation — one record, or a whole commit batch of frames:
 ///  1. one fetch_add on the reservation word claims [lsn-len, lsn);
-///  2. the frame is memcpy'd into the ring at `lsn % capacity`;
+///  2. the frames are memcpy'd into the ring at `lsn % capacity`;
 ///  3. completion publishes via a release fetch_add on the per-block
 ///     release count covering the claimed bytes.
 /// The flusher walks blocks from the flushed prefix: a block whose release
@@ -95,6 +139,7 @@ class LogManager {
   /// Raw-speed counters (relaxed increments; folded on read). Ratios like
   /// bytes/flush or the inter-flush gap are left to the caller.
   struct Stats {
+    /// Ring reservations: one per Append, one per AppendFrames piece.
     uint64_t appends = 0;
     uint64_t append_bytes = 0;  // framed bytes (payload + headers)
     uint64_t flushes = 0;
@@ -120,10 +165,19 @@ class LogManager {
   LogManager(const LogManager&) = delete;
   LogManager& operator=(const LogManager&) = delete;
 
-  /// Appends one framed record; returns its LSN. Thread-safe, lock-free on
-  /// the fast path (no I/O, no mutex; parks only when the ring is full).
-  /// Records must be non-empty and smaller than the ring minus one block.
+  /// Appends one record as one frame; returns its LSN. Thread-safe,
+  /// lock-free on the fast path (no I/O, no mutex; parks only when the ring
+  /// is full). Records must be non-empty and, framed, fit in the ring minus
+  /// one block.
   Lsn Append(std::span<const uint8_t> record);
+
+  /// Appends a non-empty run of whole frames (a LogFrameBuffer's contents)
+  /// in as few reservations as the ring allows: one when the run fits in
+  /// the ring minus one block, otherwise pieces cut at frame boundaries
+  /// below that bound, in order. Frames inside a piece stay contiguous in
+  /// the log; other appenders may interleave between pieces. Returns the
+  /// LSN one past the last frame. Same threading contract as Append.
+  Lsn AppendFrames(std::span<const uint8_t> frames);
 
   /// LSN one past the last reserved byte.
   Lsn CurrentLsn() const { return reserved_.load(std::memory_order_acquire); }
@@ -183,6 +237,11 @@ class LogManager {
   /// Scans the device's frames; truncates a torn tail; returns the LSN to
   /// resume at.
   Lsn RecoverTail();
+  /// The one ring-publish routine: claims `frames.size()` bytes with one
+  /// fetch_add, copies them in, releases the covered blocks, and wakes the
+  /// flusher on the edges it needs. `frames` is whole frames, at most
+  /// max_append_ bytes.
+  Lsn Publish(std::span<const uint8_t> frames);
   void CopyIntoRing(Lsn lsn, const uint8_t* src, size_t n);
   void WaitForRingSpace(Lsn end);
   /// One flush round: ship the completed prefix, sync, advance durability.
@@ -198,7 +257,7 @@ class LogManager {
   uint64_t capacity_ = 0;     // power of two
   uint64_t block_bytes_ = 0;  // power of two dividing capacity_
   uint64_t n_blocks_ = 0;
-  uint64_t max_append_ = 0;  // capacity_ - block_bytes_ (incl. frame header)
+  uint64_t max_append_ = 0;  // capacity_ - block_bytes_: one reservation
   std::unique_ptr<BlockCount[]> released_;
 
   /// Next LSN to hand out; bytes in [flushed_, reserved_) are staged.

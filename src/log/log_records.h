@@ -7,6 +7,7 @@
 
 #include "common/encoding.h"
 #include "common/types.h"
+#include "log/log_manager.h"
 
 namespace skeena {
 
@@ -23,6 +24,10 @@ enum class LogRecordType : uint8_t {
   kCommitBegin = 3,  // cross-engine: sub-transaction pre-committed
   kCommitEnd = 4,    // cross-engine: sub-transaction post-committed
 };
+
+/// Encoded payload size of a record without its value: type, gtid, cts,
+/// table, tombstone flag, key, value length.
+inline constexpr size_t kLogRecordFixedBytes = 1 + 8 + 8 + 4 + 1 + 16 + 4;
 
 /// A decoded log record. Data records carry the full after-image of the row
 /// (both engines recover by replaying committed transactions' images in
@@ -50,7 +55,7 @@ struct LogRecord {
   }
 
   static bool Decode(std::string_view in, LogRecord* out) {
-    constexpr size_t kFixed = 1 + 8 + 8 + 4 + 1 + 16 + 4;
+    constexpr size_t kFixed = kLogRecordFixedBytes;
     if (in.size() < kFixed) return false;
     const char* p = in.data();
     out->type = static_cast<LogRecordType>(*p++);
@@ -70,6 +75,33 @@ struct LogRecord {
     return true;
   }
 };
+
+/// Appends one record's frame to `frames`, encoding the payload in place.
+/// The payload is byte-identical to the matching LogRecord's Encode()
+/// (log_test pins this), without the intermediate string.
+inline void AddLogRecordFrame(LogFrameBuffer* frames, LogRecordType type,
+                              GlobalTxnId gtid, Timestamp cts,
+                              TableId table = 0, bool tombstone = false,
+                              const Key& key = {},
+                              std::string_view value = {}) {
+  static_assert(sizeof(gtid) == 8 && sizeof(cts) == 8 && sizeof(table) == 4);
+  frames->Add(kLogRecordFixedBytes + value.size(), [&](uint8_t* p) {
+    const uint32_t vlen = static_cast<uint32_t>(value.size());
+    *p++ = static_cast<uint8_t>(type);
+    std::memcpy(p, &gtid, 8);
+    p += 8;
+    std::memcpy(p, &cts, 8);
+    p += 8;
+    std::memcpy(p, &table, 4);
+    p += 4;
+    *p++ = tombstone ? 1 : 0;
+    std::memcpy(p, key.data(), key.size());
+    p += key.size();
+    std::memcpy(p, &vlen, 4);
+    p += 4;
+    if (vlen > 0) std::memcpy(p, value.data(), vlen);
+  });
+}
 
 }  // namespace skeena
 

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,12 +22,41 @@ void SpinWaitNs(uint64_t ns) {
 
 MemDevice::MemDevice(DeviceLatency latency) : latency_(latency) {}
 
+template <typename Fn>
+void MemDevice::ForEachPiece(uint64_t offset, uint64_t n, Fn&& fn) const {
+  uint64_t done = 0;
+  while (done < n) {
+    const uint64_t pos = offset + done;
+    const uint64_t in_chunk = pos % kChunkBytes;
+    const uint64_t piece = std::min(n - done, kChunkBytes - in_chunk);
+    fn(chunks_[pos / kChunkBytes].get() + in_chunk, piece, done);
+    done += piece;
+  }
+}
+
+void MemDevice::WriteLocked(uint64_t offset, std::span<const uint8_t> data) {
+  const uint64_t end = offset + data.size();
+  // New chunks are left uninitialised: bytes at or past size_ are never
+  // read before a write or the hole fill below covers them.
+  while (chunks_.size() * kChunkBytes < end) {
+    chunks_.push_back(std::make_unique_for_overwrite<uint8_t[]>(kChunkBytes));
+  }
+  if (offset > size_) {
+    ForEachPiece(size_, offset - size_,
+                 [](uint8_t* p, size_t n, size_t) { std::memset(p, 0, n); });
+  }
+  ForEachPiece(offset, data.size(), [&](uint8_t* p, size_t n, size_t done) {
+    std::memcpy(p, data.data() + done, n);
+  });
+  size_ = std::max(size_, end);
+  bytes_written_ += data.size();
+}
+
 Status MemDevice::Append(std::span<const uint8_t> data, uint64_t* offset) {
   {
     MutexLock guard(mu_);
-    *offset = data_.size();
-    data_.insert(data_.end(), data.begin(), data.end());
-    bytes_written_ += data.size();
+    *offset = size_;
+    WriteLocked(size_, data);
   }
   SpinWaitNs(latency_.write_ns);
   return Status::OK();
@@ -35,9 +65,7 @@ Status MemDevice::Append(std::span<const uint8_t> data, uint64_t* offset) {
 Status MemDevice::WriteAt(uint64_t offset, std::span<const uint8_t> data) {
   {
     MutexLock guard(mu_);
-    if (offset + data.size() > data_.size()) data_.resize(offset + data.size());
-    std::memcpy(data_.data() + offset, data.data(), data.size());
-    bytes_written_ += data.size();
+    WriteLocked(offset, data);
   }
   SpinWaitNs(latency_.write_ns);
   return Status::OK();
@@ -46,10 +74,13 @@ Status MemDevice::WriteAt(uint64_t offset, std::span<const uint8_t> data) {
 Status MemDevice::ReadAt(uint64_t offset, std::span<uint8_t> out) const {
   {
     MutexLock guard(mu_);
-    if (offset + out.size() > data_.size()) {
+    if (offset + out.size() > size_) {
       return Status::IOError("read past end of device");
     }
-    std::memcpy(out.data(), data_.data() + offset, out.size());
+    ForEachPiece(offset, out.size(),
+                 [&](const uint8_t* p, size_t n, size_t done) {
+                   std::memcpy(out.data() + done, p, n);
+                 });
     bytes_read_ += out.size();
   }
   SpinWaitNs(latency_.read_ns);
@@ -63,13 +94,16 @@ Status MemDevice::Sync() {
 
 Status MemDevice::Truncate(uint64_t size) {
   MutexLock guard(mu_);
-  if (size < data_.size()) data_.resize(size);
+  if (size < size_) {
+    size_ = size;
+    chunks_.resize((size + kChunkBytes - 1) / kChunkBytes);
+  }
   return Status::OK();
 }
 
 uint64_t MemDevice::Size() const {
   MutexLock guard(mu_);
-  return data_.size();
+  return size_;
 }
 
 uint64_t MemDevice::bytes_read() const {

@@ -76,6 +76,11 @@ class StorageDevice {
 /// In-memory device with optional injected latency. The default for tests
 /// and benchmarks: deterministic, no filesystem dependence, still charges
 /// the configured per-operation latency like a real device would.
+///
+/// Bytes live in fixed-size chunks, so growing the device never copies what
+/// it already holds (a log of hundreds of MB would otherwise be re-copied on
+/// every doubling, under the device mutex). Bytes between the old end and a
+/// write past it read as zeros, as they would on a file.
 class MemDevice : public StorageDevice {
  public:
   explicit MemDevice(DeviceLatency latency = DeviceLatency::Tmpfs());
@@ -90,8 +95,24 @@ class MemDevice : public StorageDevice {
   uint64_t bytes_written() const override;
 
  private:
+  /// A multiple of every stordb page size, so a page never straddles two.
+  static constexpr uint64_t kChunkBytes = 1 << 20;
+
+  /// Calls `fn(uint8_t* chunk_bytes, size_t n, size_t done)` for each
+  /// chunk piece of [offset, offset + n), in order; those chunks exist.
+  template <typename Fn>
+  void ForEachPiece(uint64_t offset, uint64_t n, Fn&& fn) const
+      SKEENA_REQUIRES(mu_);
+  /// Writes `data` at `offset`: allocates missing chunks, zeroes any hole
+  /// between the old end and `offset`, and grows size_.
+  void WriteLocked(uint64_t offset, std::span<const uint8_t> data)
+      SKEENA_REQUIRES(mu_);
+
   mutable Mutex mu_;
-  std::vector<uint8_t> data_ SKEENA_GUARDED_BY(mu_);
+  /// Chunk i holds bytes [i * kChunkBytes, (i + 1) * kChunkBytes); only
+  /// bytes below size_ are meaningful.
+  std::vector<std::unique_ptr<uint8_t[]>> chunks_ SKEENA_GUARDED_BY(mu_);
+  uint64_t size_ SKEENA_GUARDED_BY(mu_) = 0;
   DeviceLatency latency_;
   mutable uint64_t bytes_read_ SKEENA_GUARDED_BY(mu_) = 0;
   uint64_t bytes_written_ SKEENA_GUARDED_BY(mu_) = 0;

@@ -280,13 +280,10 @@ Status MemEngine::PreCommit(MemTxn* txn, GlobalTxnId gtid,
   // which a concurrent committer can interleave and force a commit-check
   // abort — as short as possible.
   if (log_ != nullptr && cross_engine) {
-    LogRecord begin;
-    begin.type = LogRecordType::kCommitBegin;
-    begin.gtid = gtid;
-    begin.cts = txn->commit_ts_;
-    std::string encoded = begin.Encode();
-    log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    LogFrameBuffer& frames = LogFrameBuffer::Scratch();
+    AddLogRecordFrame(&frames, LogRecordType::kCommitBegin, gtid,
+                      txn->commit_ts_);
+    log_->AppendFrames(frames.frames());
   }
 
   txn->state_ = MemTxn::State::kPreCommitted;
@@ -314,22 +311,16 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   Timestamp floor = gc_floor_.load(std::memory_order_acquire);
   if (!txn->read_only()) {
     // Log the write images (before the commit record, same log: recovery
-    // sees data before commit in FIFO order).
+    // sees data before commit in FIFO order), encoded in place and
+    // published as one batch.
     if (log_ != nullptr) {
-      LogRecord rec;
+      LogFrameBuffer& frames = LogFrameBuffer::Scratch();
       for (const auto& w : txn->writes()) {
-        rec.type = LogRecordType::kData;
-        rec.gtid = gtid;
-        rec.cts = txn->commit_ts_;
-        rec.table = w.table;
-        rec.tombstone = w.tombstone;
-        rec.key = w.key;
-        rec.value = w.value;
-        std::string encoded = rec.Encode();
-        log_->Append(std::span<const uint8_t>(
-            reinterpret_cast<const uint8_t*>(encoded.data()),
-            encoded.size()));
+        AddLogRecordFrame(&frames, LogRecordType::kData, gtid,
+                          txn->commit_ts_, w.table, w.tombstone, w.key,
+                          w.value);
       }
+      log_->AppendFrames(frames.frames());
     }
     // Unlink prunable sub-chains while latched (the cut must be ordered
     // against other installs on the record), but retire them only after
@@ -353,14 +344,12 @@ Lsn MemEngine::PostCommit(MemTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   Lsn lsn = 0;
   if (log_ != nullptr &&
       (!txn->read_only() || cross_engine || options_.log_read_only_commits)) {
-    LogRecord rec;
-    rec.type =
-        cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit;
-    rec.gtid = gtid;
-    rec.cts = txn->commit_ts_;
-    std::string encoded = rec.Encode();
-    lsn = log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    LogFrameBuffer& frames = LogFrameBuffer::Scratch();
+    AddLogRecordFrame(
+        &frames,
+        cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit,
+        gtid, txn->commit_ts_);
+    lsn = log_->AppendFrames(frames.frames());
   }
 
   // Leave the committing window only after the last log append: the
@@ -481,23 +470,13 @@ Status MemEngine::ApplyReplicated(GlobalTxnId gtid, Timestamp cts,
   // Re-log locally (data before commit, like a primary post-commit) so the
   // replica's own WAL recovers to the same state.
   if (log_ != nullptr) {
-    LogRecord out;
+    LogFrameBuffer& frames = LogFrameBuffer::Scratch();
     for (const Pending& p : pend) {
-      out = *p.r;
-      out.type = LogRecordType::kData;
-      out.gtid = gtid;
-      out.cts = cts;
-      std::string encoded = out.Encode();
-      log_->Append(std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+      AddLogRecordFrame(&frames, LogRecordType::kData, gtid, cts, p.r->table,
+                        p.r->tombstone, p.r->key, p.r->value);
     }
-    LogRecord commit;
-    commit.type = LogRecordType::kCommit;
-    commit.gtid = gtid;
-    commit.cts = cts;
-    std::string encoded = commit.Encode();
-    log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    AddLogRecordFrame(&frames, LogRecordType::kCommit, gtid, cts);
+    log_->AppendFrames(frames.frames());
   }
 
   // Install under the record latches: replica readers run concurrently and

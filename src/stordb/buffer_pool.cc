@@ -42,7 +42,9 @@ BufferPool::BufferPool(size_t num_pages, DeviceResolver resolver,
                        size_t num_shards)
     : resolver_(std::move(resolver)), shards_(num_shards) {
   if (num_pages < num_shards) num_pages = num_shards;
-  arena_ = std::make_unique<uint8_t[]>(num_pages * kPageSize);
+  // Uninitialised: every load path overwrites its frame first (memset for a
+  // new page or one past the device end, ReadAt otherwise).
+  arena_ = std::make_unique_for_overwrite<uint8_t[]>(num_pages * kPageSize);
   frames_.reserve(num_pages);
   for (size_t i = 0; i < num_pages; ++i) {
     auto frame = std::make_unique<Frame>();

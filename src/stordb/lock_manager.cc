@@ -8,6 +8,28 @@ namespace skeena::stordb {
 LockManager::LockManager(Options options)
     : options_(options), buckets_(options.num_buckets) {}
 
+void LockManager::HolderList::push_back(Holder h) {
+  if (!spilled_) {
+    if (n_inline_ < kInline) {
+      inline_[n_inline_++] = h;
+      return;
+    }
+    heap_.assign(inline_, inline_ + n_inline_);
+    spilled_ = true;
+  }
+  heap_.push_back(h);
+}
+
+void LockManager::HolderList::Erase(uint64_t txn_id) {
+  Holder* kept = std::remove_if(
+      begin(), end(), [&](const Holder& h) { return h.txn_id == txn_id; });
+  if (spilled_) {
+    heap_.erase(heap_.begin() + (kept - heap_.data()), heap_.end());
+  } else {
+    n_inline_ = static_cast<uint8_t>(kept - inline_);
+  }
+}
+
 bool LockManager::CanGrant(const LockQueue& q, uint64_t txn_id, LockMode mode,
                            bool is_upgrade) {
   if (is_upgrade) {
@@ -76,7 +98,7 @@ Status LockManager::Lock(uint64_t txn_id, Rid rid, LockMode mode) {
     }
     // Upgrades jump the queue: they already hold S and would otherwise
     // deadlock with ordinary waiters behind them.
-    q.waiters.push_front(Waiter{txn_id, mode, /*upgrade=*/true});
+    q.waiters.insert(q.waiters.begin(), Waiter{txn_id, mode, /*upgrade=*/true});
   } else {
     if (q.waiters.empty() && CanGrant(q, txn_id, mode, false)) {
       q.holders.push_back(Holder{txn_id, mode});
@@ -156,15 +178,13 @@ void LockManager::ReleaseAll(uint64_t txn_id, const std::vector<Rid>& rids) {
     auto it = bucket.queues.find(rid);
     if (it == bucket.queues.end()) continue;
     LockQueue& q = it->second;
-    q.holders.erase(
-        std::remove_if(q.holders.begin(), q.holders.end(),
-                       [&](const Holder& h) { return h.txn_id == txn_id; }),
-        q.holders.end());
+    q.holders.Erase(txn_id);
 
-    // Promote waiters FIFO while compatible.
-    bool promoted = false;
-    while (!q.waiters.empty()) {
-      Waiter& w = q.waiters.front();
+    // Promote waiters FIFO while compatible, then drop the granted prefix
+    // in one erase.
+    size_t promoted = 0;
+    for (; promoted < q.waiters.size(); ++promoted) {
+      const Waiter& w = q.waiters[promoted];
       if (!CanGrant(q, w.txn_id, w.mode, w.upgrade)) break;
       if (w.upgrade) {
         for (Holder& h : q.holders) {
@@ -173,13 +193,12 @@ void LockManager::ReleaseAll(uint64_t txn_id, const std::vector<Rid>& rids) {
       } else {
         q.holders.push_back(Holder{w.txn_id, w.mode});
       }
-      q.waiters.pop_front();
-      promoted = true;
     }
+    q.waiters.erase(q.waiters.begin(), q.waiters.begin() + promoted);
     if (q.holders.empty() && q.waiters.empty()) {
       bucket.queues.erase(it);
     }
-    if (promoted) bucket.cv.NotifyAll();
+    if (promoted > 0) bucket.cv.NotifyAll();
   }
 }
 

@@ -1,8 +1,8 @@
 #ifndef SKEENA_STORDB_LOCK_MANAGER_H_
 #define SKEENA_STORDB_LOCK_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -66,9 +66,36 @@ class LockManager {
     LockMode mode;
     bool upgrade = false;
   };
+  /// Holders of one row lock. Inline room covers the common single holder
+  /// (and a pair of S holders); a third holder spills every entry to the
+  /// heap. An uncontended lock therefore allocates nothing beyond its
+  /// queue's map node.
+  class HolderList {
+   public:
+    Holder* begin() { return spilled_ ? heap_.data() : inline_; }
+    Holder* end() { return begin() + size(); }
+    const Holder* begin() const { return spilled_ ? heap_.data() : inline_; }
+    const Holder* end() const { return begin() + size(); }
+    size_t size() const { return spilled_ ? heap_.size() : n_inline_; }
+    bool empty() const { return size() == 0; }
+    const Holder& operator[](size_t i) const { return begin()[i]; }
+
+    void push_back(Holder h);
+    /// Drops `txn_id`'s entry, keeping the others in order.
+    void Erase(uint64_t txn_id);
+
+   private:
+    static constexpr size_t kInline = 2;
+    Holder inline_[kInline];
+    uint8_t n_inline_ = 0;
+    bool spilled_ = false;
+    std::vector<Holder> heap_;
+  };
   struct LockQueue {
-    std::vector<Holder> holders;
-    std::deque<Waiter> waiters;
+    HolderList holders;
+    /// FIFO, except that upgrades enter at the front. A vector: it
+    /// allocates nothing while empty, which is the uncontended case.
+    std::vector<Waiter> waiters;
   };
   struct Bucket {
     mutable Mutex mu;

@@ -409,13 +409,10 @@ Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId gtid,
   // move to post-commit to keep the cross-engine timestamp-assignment
   // window narrow (see MemEngine::PreCommit).
   if (log_ != nullptr && cross_engine) {
-    LogRecord begin;
-    begin.type = LogRecordType::kCommitBegin;
-    begin.gtid = gtid;
-    begin.cts = txn->ser_no_;
-    std::string encoded = begin.Encode();
-    log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    LogFrameBuffer& frames = LogFrameBuffer::Scratch();
+    AddLogRecordFrame(&frames, LogRecordType::kCommitBegin, gtid,
+                      txn->ser_no_);
+    log_->AppendFrames(frames.frames());
   }
 
   txn->state_ = StorTxn::State::kPreCommitted;
@@ -425,34 +422,26 @@ Status StorEngine::PreCommit(StorTxn* txn, GlobalTxnId gtid,
 Lsn StorEngine::PostCommit(StorTxn* txn, GlobalTxnId gtid, bool cross_engine) {
   assert(txn->state_ == StorTxn::State::kPreCommitted);
 
+  // Redo images are encoded in place and published as one batch.
   if (log_ != nullptr && !txn->read_only()) {
-    LogRecord rec;
+    LogFrameBuffer& frames = LogFrameBuffer::Scratch();
     for (const RedoEntry& r : txn->redo_) {
-      rec.type = LogRecordType::kData;
-      rec.gtid = gtid;
-      rec.cts = txn->ser_no_;
-      rec.table = r.table;
-      rec.tombstone = r.tombstone;
-      rec.key = r.key;
-      rec.value = r.value;
-      std::string encoded = rec.Encode();
-      log_->Append(std::span<const uint8_t>(
-          reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+      AddLogRecordFrame(&frames, LogRecordType::kData, gtid, txn->ser_no_,
+                        r.table, r.tombstone, r.key, r.value);
     }
+    log_->AppendFrames(frames.frames());
   }
   if (!txn->read_only()) {
     trx_sys_.MarkCommitted(txn->tid_);
   }
   Lsn lsn = 0;
   if (log_ != nullptr && (!txn->read_only() || cross_engine)) {
-    LogRecord rec;
-    rec.type =
-        cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit;
-    rec.gtid = gtid;
-    rec.cts = txn->ser_no_;
-    std::string encoded = rec.Encode();
-    lsn = log_->Append(std::span<const uint8_t>(
-        reinterpret_cast<const uint8_t*>(encoded.data()), encoded.size()));
+    LogFrameBuffer& frames = LogFrameBuffer::Scratch();
+    AddLogRecordFrame(
+        &frames,
+        cross_engine ? LogRecordType::kCommitEnd : LogRecordType::kCommit,
+        gtid, txn->ser_no_);
+    lsn = log_->AppendFrames(frames.frames());
   }
   // Leave the committing window only after the last log append: the
   // replication horizon must not pass this ser while records are pending.

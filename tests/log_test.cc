@@ -12,6 +12,7 @@
 #include "log/segmented_device.h"
 #include "log/storage_device.h"
 #include "log/uring_queue.h"
+#include "memdb/mem_engine.h"
 
 namespace skeena {
 namespace {
@@ -82,6 +83,78 @@ TEST(MemDeviceTest, TracksByteCounters) {
   dev.ReadAt(0, {reinterpret_cast<uint8_t*>(out.data()), 4});
   EXPECT_EQ(dev.bytes_written(), 8u);
   EXPECT_EQ(dev.bytes_read(), 4u);
+}
+
+// Bytes [n, n + len) filled with a pattern that differs per offset.
+std::string Pattern(uint64_t n, size_t len) {
+  std::string s(len, '\0');
+  for (size_t i = 0; i < len; ++i) s[i] = static_cast<char>((n + i) * 131 + 7);
+  return s;
+}
+
+std::string ReadBack(const MemDevice& dev, uint64_t offset, size_t len) {
+  std::string out(len, 'q');
+  EXPECT_TRUE(
+      dev.ReadAt(offset, {reinterpret_cast<uint8_t*>(out.data()), len}).ok());
+  return out;
+}
+
+constexpr uint64_t kMiB = 1 << 20;  // MemDevice's chunk size
+
+TEST(MemDeviceTest, WriteAcrossAChunkBoundaryReadsBack) {
+  MemDevice dev;
+  const uint64_t off = kMiB - 5000;
+  const std::string data = Pattern(off, 12000);
+  ASSERT_TRUE(dev.WriteAt(off, Bytes(data)).ok());
+  EXPECT_EQ(dev.Size(), off + data.size());
+  EXPECT_EQ(ReadBack(dev, off, data.size()), data);
+  // A read straddling the boundary from inside the write.
+  EXPECT_EQ(ReadBack(dev, kMiB - 10, 20), data.substr(4990, 20));
+
+  // Appends keep going across further boundaries.
+  uint64_t at = 0;
+  const std::string more = Pattern(7, 2 * kMiB + 333);
+  ASSERT_TRUE(dev.Append(Bytes(more), &at).ok());
+  EXPECT_EQ(at, off + data.size());
+  EXPECT_EQ(ReadBack(dev, at, more.size()), more);
+}
+
+TEST(MemDeviceTest, HoleAcrossChunksReadsAsZeros) {
+  MemDevice dev;
+  ASSERT_TRUE(dev.WriteAt(0, Bytes("head")).ok());
+  const uint64_t far = 2 * kMiB + 100;
+  ASSERT_TRUE(dev.WriteAt(far, Bytes("tail")).ok());
+  EXPECT_EQ(dev.Size(), far + 4);
+  EXPECT_EQ(ReadBack(dev, 0, 4), "head");
+  EXPECT_EQ(ReadBack(dev, 4, far - 4), std::string(far - 4, '\0'));
+  EXPECT_EQ(ReadBack(dev, far, 4), "tail");
+}
+
+TEST(MemDeviceTest, TruncateThenExtendLeavesNoStaleBytes) {
+  MemDevice dev;
+  const std::string data = Pattern(0, kMiB + 4096);
+  uint64_t off = 0;
+  ASSERT_TRUE(dev.Append(Bytes(data), &off).ok());
+  // Cut inside the first chunk, dropping the second.
+  ASSERT_TRUE(dev.Truncate(1000).ok());
+  EXPECT_EQ(dev.Size(), 1000u);
+  std::string out(10, '\0');
+  EXPECT_FALSE(
+      dev.ReadAt(995, {reinterpret_cast<uint8_t*>(out.data()), 10}).ok());
+
+  // Extending by a write past the end: the old bytes between the cut and
+  // the write must read as zeros, in the kept chunk and the new one.
+  const uint64_t far = kMiB + 50;
+  ASSERT_TRUE(dev.WriteAt(far, Bytes("new")).ok());
+  EXPECT_EQ(ReadBack(dev, 0, 1000), data.substr(0, 1000));
+  EXPECT_EQ(ReadBack(dev, 1000, far - 1000), std::string(far - 1000, '\0'));
+  EXPECT_EQ(ReadBack(dev, far, 3), "new");
+
+  // Truncating to zero and appending starts over at offset 0.
+  ASSERT_TRUE(dev.Truncate(0).ok());
+  ASSERT_TRUE(dev.Append(Bytes("again"), &off).ok());
+  EXPECT_EQ(off, 0u);
+  EXPECT_EQ(ReadBack(dev, 0, 5), "again");
 }
 
 TEST(FileDeviceTest, PersistsAcrossReopen) {
@@ -622,6 +695,157 @@ TEST(SegmentedDeviceTest, DirectIoRequestRoundTripsEvenWhenUnsupported) {
   EXPECT_EQ(n, 150);
   EXPECT_EQ(reader.offset(), end);
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- Frame check, batches
+
+TEST(LogFrameCheckTest, AnySingleByteFlipChangesTheCheck) {
+  // Lengths cover a lone tail, whole words only, and words plus a tail.
+  for (size_t len : {1u, 7u, 8u, 13u, 37u, 64u}) {
+    std::string payload = Pattern(len, len);
+    const uint32_t check = LogFrameCheck(Bytes(payload));
+    for (size_t i = 0; i < len; ++i) {
+      for (int x = 1; x < 256; ++x) {
+        payload[i] = static_cast<char>(payload[i] ^ x);
+        EXPECT_NE(LogFrameCheck(Bytes(payload)), check)
+            << "len " << len << " byte " << i << " xor " << x;
+        payload[i] = static_cast<char>(payload[i] ^ x);
+      }
+    }
+  }
+}
+
+TEST(LogFrameCheckTest, LengthSeedsTheCheck) {
+  // The tail word is zero-padded: without the length in the seed, a
+  // payload and the same bytes plus trailing zeros would collide.
+  EXPECT_NE(LogFrameCheck(Bytes(std::string("ab"))),
+            LogFrameCheck(Bytes(std::string("ab\0", 3))));
+  EXPECT_NE(LogFrameCheck(Bytes(std::string(8, '\0'))),
+            LogFrameCheck(Bytes(std::string(16, '\0'))));
+}
+
+TEST(LogFrameBufferTest, InPlaceFramesMatchEncodedRecords) {
+  LogRecord data;
+  data.type = LogRecordType::kData;
+  data.gtid = 0x0102030405060708ull;
+  data.cts = 0x1122334455667788ull;
+  data.table = 0xa1b2c3d4;
+  data.key = MakeKey(4242);
+  data.value = Pattern(3, 61);
+
+  LogRecord tombstone = data;
+  tombstone.tombstone = true;
+  tombstone.value.clear();
+
+  LogRecord commit;
+  commit.type = LogRecordType::kCommit;
+  commit.gtid = 77;
+  commit.cts = 78;
+
+  LogRecord begin;
+  begin.type = LogRecordType::kCommitBegin;
+  begin.gtid = 79;
+  begin.cts = 80;
+
+  LogFrameBuffer frames;
+  std::string expected;
+  for (const LogRecord* r : {&data, &tombstone, &commit, &begin}) {
+    AddLogRecordFrame(&frames, r->type, r->gtid, r->cts, r->table,
+                      r->tombstone, r->key, r->value);
+    expected += Frame(r->Encode());
+  }
+  const auto got = frames.frames();
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(got.data()), got.size()),
+            expected);
+}
+
+TEST(LogManagerTest, BatchAcrossRingWrapAndBlocksReadsBackInOrder) {
+  LogManager::Options opts;
+  opts.buffer_bytes = 64 * 1024;
+  opts.block_bytes = 4 * 1024;
+  auto dev = std::make_unique<MemDevice>();
+  MemDevice* raw = dev.get();
+  LogManager log(std::move(dev), opts);
+
+  // Move the reservation cursor to just short of the ring's end, so the
+  // batch below starts mid-block, crosses block boundaries and wraps.
+  std::vector<std::string> want;
+  while (log.CurrentLsn() < 64 * 1024 - 3000) {
+    want.push_back(Pattern(want.size(), 900));
+    log.Append(Bytes(want.back()));
+  }
+  ASSERT_TRUE(log.Flush().ok());
+
+  LogFrameBuffer frames;
+  for (int i = 0; i < 40; ++i) {
+    want.push_back(Pattern(1000 + i, 50 + 37 * i));
+    const std::string& p = want.back();
+    frames.Add(p.size(), [&](uint8_t* dst) {
+      std::memcpy(dst, p.data(), p.size());
+    });
+  }
+  ASSERT_GT(frames.frames().size(), 3u * 4 * 1024);
+  const uint64_t appends_before = log.stats().appends;
+  const Lsn start = log.CurrentLsn();
+  const Lsn end = log.AppendFrames(frames.frames());
+  EXPECT_EQ(end, start + frames.frames().size());
+  EXPECT_EQ(log.stats().appends, appends_before + 1)
+      << "a batch that fits the ring must take one reservation";
+  EXPECT_GT(end % (64 * 1024), 0u);
+  EXPECT_LT(end % (64 * 1024), start % (64 * 1024)) << "batch must wrap";
+  ASSERT_TRUE(log.Flush().ok());
+
+  LogReader reader(raw);
+  std::string rec;
+  size_t n = 0;
+  while (reader.Next(&rec)) {
+    ASSERT_LT(n, want.size());
+    EXPECT_EQ(rec, want[n]) << "record " << n;
+    ++n;
+  }
+  EXPECT_EQ(n, want.size());
+}
+
+TEST(LogManagerTest, TransactionLargerThanTheRingIsSplitAndRecovered) {
+  memdb::MemEngine::Options opts;
+  opts.log.buffer_bytes = 64 * 1024;
+  opts.log.block_bytes = 4 * 1024;
+  constexpr int kRows = 2000;  // ~300 KB of frames: several ring laps
+  auto value = [](int i) { return Pattern(static_cast<uint64_t>(i), 100); };
+
+  std::vector<uint8_t> log_bytes;
+  {
+    auto dev = std::make_unique<MemDevice>();
+    MemDevice* raw = dev.get();
+    memdb::MemEngine engine(std::move(dev), opts);
+    TableId t = engine.CreateTable("big");
+    auto txn = engine.Begin(IsolationLevel::kSnapshot);
+    for (int i = 0; i < kRows; ++i) {
+      ASSERT_TRUE(engine.Put(txn.get(), t, MakeKey(i), value(i)).ok());
+    }
+    ASSERT_TRUE(engine.PreCommit(txn.get(), 1, false).ok());
+    const uint64_t appends_before = engine.log()->stats().appends;
+    engine.log()->WaitDurable(engine.PostCommit(txn.get(), 1, false));
+    const uint64_t pieces = engine.log()->stats().appends - appends_before;
+    EXPECT_GE(pieces, 1u + 300 * 1024 / (60 * 1024))
+        << "the data batch must be split below the ring bound";
+    log_bytes.resize(raw->Size());
+    ASSERT_TRUE(raw->ReadAt(0, log_bytes).ok());
+  }
+
+  auto dev = std::make_unique<MemDevice>();
+  uint64_t off = 0;
+  ASSERT_TRUE(dev->Append(log_bytes, &off).ok());
+  memdb::MemEngine recovered(std::move(dev), opts);
+  TableId t = recovered.CreateTable("big");
+  ASSERT_TRUE(recovered.Recover({}).ok());
+  auto reader = recovered.Begin(IsolationLevel::kSnapshot);
+  std::string v;
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(recovered.Get(reader.get(), t, MakeKey(i), &v).ok()) << i;
+    EXPECT_EQ(v, value(i));
+  }
+  recovered.Abort(reader.get());
 }
 
 // ------------------------------------------------------------- LogRecord

@@ -285,6 +285,112 @@ TEST(LockManagerTest, TimeoutBackstop) {
   lm.ReleaseAll(1, {100});
 }
 
+TEST(LockManagerTest, ManySharedHoldersSpillAndRelease) {
+  LockManager::Options opts;
+  opts.wait_timeout_ms = 50;
+  LockManager lm(opts);
+  // Five S holders: past the inline room, so every entry moves to the heap.
+  for (uint64_t t = 1; t <= 5; ++t) {
+    ASSERT_TRUE(lm.Lock(t, 100, LockMode::kShared).ok()) << t;
+  }
+  for (uint64_t t = 1; t <= 5; ++t) EXPECT_TRUE(lm.Holds(t, 100, LockMode::kShared));
+  EXPECT_TRUE(lm.Lock(6, 100, LockMode::kExclusive).IsAnyAbort())
+      << "X must wait behind S holders";
+
+  // Release from the middle and the ends; the rest keep their locks.
+  lm.ReleaseAll(3, {100});
+  lm.ReleaseAll(1, {100});
+  lm.ReleaseAll(5, {100});
+  EXPECT_FALSE(lm.Holds(1, 100, LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(3, 100, LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(5, 100, LockMode::kShared));
+  EXPECT_TRUE(lm.Holds(2, 100, LockMode::kShared));
+  EXPECT_TRUE(lm.Holds(4, 100, LockMode::kShared));
+  ASSERT_TRUE(lm.Lock(7, 100, LockMode::kShared).ok());
+  EXPECT_TRUE(lm.Holds(7, 100, LockMode::kShared));
+
+  lm.ReleaseAll(2, {100});
+  lm.ReleaseAll(4, {100});
+  lm.ReleaseAll(7, {100});
+  ASSERT_TRUE(lm.Lock(8, 100, LockMode::kExclusive).ok())
+      << "the last release must leave the row free";
+  lm.ReleaseAll(8, {100});
+}
+
+// Spins until `n` requests have queued as waiters.
+void WaitForWaits(const LockManager& lm, uint64_t n) {
+  while (lm.waits() < n) std::this_thread::yield();
+}
+
+TEST(LockManagerTest, UpgradeJumpsAheadOfQueuedWaiters) {
+  LockManager::Options opts;
+  opts.wait_timeout_ms = 5000;
+  LockManager lm(opts);
+  ASSERT_TRUE(lm.Lock(1, 9, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Lock(2, 9, LockMode::kShared).ok());
+
+  std::atomic<bool> writer_granted{false};
+  std::thread writer([&] {
+    EXPECT_TRUE(lm.Lock(3, 9, LockMode::kExclusive).ok());
+    writer_granted.store(true);
+    lm.ReleaseAll(3, {9});
+  });
+  WaitForWaits(lm, 1);
+  // Txn 1 asks to upgrade while txn 2 still holds S: it queues, but ahead
+  // of the writer that queued first.
+  std::atomic<bool> upgraded{false};
+  std::thread upgrader([&] {
+    EXPECT_TRUE(lm.Lock(1, 9, LockMode::kExclusive).ok());
+    upgraded.store(true);
+  });
+  WaitForWaits(lm, 2);
+
+  lm.ReleaseAll(2, {9});
+  while (!upgraded.load()) std::this_thread::yield();
+  EXPECT_TRUE(lm.Holds(1, 9, LockMode::kExclusive));
+  EXPECT_FALSE(writer_granted.load()) << "the queued writer overtook the upgrade";
+  upgrader.join();
+
+  lm.ReleaseAll(1, {9});
+  writer.join();
+  EXPECT_TRUE(writer_granted.load());
+  EXPECT_EQ(lm.deadlocks(), 0u);
+}
+
+TEST(LockManagerTest, ReleaseAllPromotesWaitersFifo) {
+  LockManager::Options opts;
+  opts.wait_timeout_ms = 5000;
+  LockManager lm(opts);
+  ASSERT_TRUE(lm.Lock(1, 42, LockMode::kExclusive).ok());
+
+  std::atomic<int> order{0};
+  std::atomic<int> granted_2{0}, granted_3{0};
+  std::atomic<bool> release_2{false};
+  std::thread second([&] {
+    EXPECT_TRUE(lm.Lock(2, 42, LockMode::kExclusive).ok());
+    granted_2.store(++order);
+    while (!release_2.load()) std::this_thread::yield();
+    lm.ReleaseAll(2, {42});
+  });
+  WaitForWaits(lm, 1);
+  std::thread third([&] {
+    EXPECT_TRUE(lm.Lock(3, 42, LockMode::kExclusive).ok());
+    granted_3.store(++order);
+    lm.ReleaseAll(3, {42});
+  });
+  WaitForWaits(lm, 2);
+
+  lm.ReleaseAll(1, {42});
+  while (granted_2.load() == 0) std::this_thread::yield();
+  EXPECT_TRUE(lm.Holds(2, 42, LockMode::kExclusive));
+  EXPECT_EQ(granted_3.load(), 0) << "the later waiter was promoted first";
+  release_2.store(true);
+  second.join();
+  third.join();
+  EXPECT_EQ(granted_2.load(), 1);
+  EXPECT_EQ(granted_3.load(), 2);
+}
+
 // ----------------------------------------------------------------- TrxSys
 
 TEST(TrxSysTest, NativeViewVisibility) {

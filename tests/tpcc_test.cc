@@ -40,6 +40,92 @@ TEST(TpccTest, NewOrderAdvancesDistrictCounter) {
       << "order ids must stay dense per district";
 }
 
+// Counts `table`'s rows whose key starts with warehouse `w`.
+uint64_t CountRows(Tpcc& tpcc, const std::string& table, uint16_t w) {
+  auto handle = tpcc.db()->GetTable(table);
+  EXPECT_TRUE(handle.ok());
+  KeyBuilder prefix;
+  prefix.AppendU16(w);
+  uint64_t n = 0;
+  auto txn = tpcc.db()->Begin();
+  EXPECT_TRUE(txn->Scan(*handle, prefix.Build(), 0,
+                        [&](const Key& key, const std::string&) {
+                          if (key[0] != prefix.Build()[0] ||
+                              key[1] != prefix.Build()[1]) {
+                            return false;
+                          }
+                          n++;
+                          return true;
+                        })
+                  .ok());
+  txn->Abort();
+  return n;
+}
+
+TEST(TpccTest, NewOrderRollbackIsNeitherCommitNorAbort) {
+  TpccConfig cfg = SmallConfig();
+  cfg.warehouses = 1;
+  Tpcc tpcc(cfg);
+  const uint64_t orders_before = CountRows(tpcc, "orders", 1);
+  Rng rng(11);
+  uint64_t q = 0;
+  int committed = 0, rolled_back = 0;
+  for (int i = 0; i < 400; ++i) {
+    Status s = tpcc.NewOrder(rng, 1, &q);
+    if (s.ok()) {
+      committed++;
+    } else if (IsUserRollback(s)) {
+      rolled_back++;
+    } else {
+      ASSERT_TRUE(s.IsAnyAbort()) << s.ToString();
+    }
+  }
+  EXPECT_GT(rolled_back, 0) << "the 1% invalid-item rollback never fired";
+  EXPECT_EQ(CountRows(tpcc, "orders", 1), orders_before + committed)
+      << "only committed New-Orders may leave an ORDER row";
+  EXPECT_TRUE(tpcc.CheckConsistency().ok());
+
+  // The closed-loop driver tallies rollbacks apart from commits and aborts.
+  RunResult r = RunWorkload(1, 20, [](int, Rng&, uint64_t*) {
+    return UserRollback();
+  });
+  EXPECT_GT(r.rollbacks, 0u);
+  EXPECT_EQ(r.commits, 0u);
+  EXPECT_EQ(r.engine_aborts + r.skeena_aborts, 0u);
+}
+
+TEST(TpccTest, ConsistencyCatchesAMissingOrderLine) {
+  TpccConfig cfg = SmallConfig();
+  cfg.warehouses = 1;
+  Tpcc tpcc(cfg);
+  ASSERT_TRUE(tpcc.CheckConsistency().ok());
+
+  // Drop one ORDER-LINE row: condition 4 (sum of O_OL_CNT == ORDER-LINE
+  // rows per district) is the only one that sees it.
+  auto order_line = tpcc.db()->GetTable("order_line");
+  ASSERT_TRUE(order_line.ok());
+  KeyBuilder district;
+  district.AppendU16(1).AppendU8(2);
+  Key victim{};
+  bool found = false;
+  auto txn = tpcc.db()->Begin();
+  ASSERT_TRUE(txn->Scan(*order_line, district.Build(), 1,
+                        [&](const Key& key, const std::string&) {
+                          victim = key;
+                          found = true;
+                          return false;
+                        })
+                  .ok());
+  ASSERT_TRUE(found);
+  ASSERT_TRUE(txn->Delete(*order_line, victim).ok());
+  ASSERT_TRUE(txn->Commit().ok());
+
+  Status s = tpcc.CheckConsistency();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_NE(s.message().find("ORDER-LINE"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(TpccTest, PaymentUpdatesYtdConsistently) {
   Tpcc tpcc(SmallConfig());
   Rng rng(2);
